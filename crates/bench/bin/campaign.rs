@@ -26,7 +26,8 @@
 //! (the CI assertion mode).
 //!
 //! The table is deterministic: identical under `FTK_EXEC=serial` and the
-//! parallel worker pool (cells parallelize, each cell runs serially).
+//! parallel worker pool (cells parallelize, and no fit depends on the block
+//! schedule).
 
 use bench_harness::campaign::{
     campaign_table, parse_precision, parse_scheme, quant_table_csv, records_jsonl, run_campaign,

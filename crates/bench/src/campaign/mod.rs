@@ -5,7 +5,8 @@
 //!
 //! * [`grid`] — declarative sweep spec, expanded to deterministically
 //!   seeded cells,
-//! * [`runner`] — parallel cell execution with per-cell serial determinism,
+//! * [`runner`] — parallel cell execution; every cell's outcome is a pure
+//!   function of its seed,
 //! * [`mod@classify`] — benign-vs-SDC classification via fault-free twins,
 //! * [`table`] — aggregation into [`crate::report::FigureReport`] tables
 //!   plus per-injection JSONL logs,

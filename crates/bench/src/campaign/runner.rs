@@ -1,21 +1,22 @@
 //! Campaign execution: run every cell of an expanded grid, in parallel over
 //! the `gpu_sim::exec` pool, with per-cell determinism.
 //!
-//! Each cell fits twice — once under injection, once as the fault-free twin
-//! — inside a **serial executor scope**: random-mode injection consumes RNG
-//! draws in block-execution order, so parallel block scheduling would make
-//! the fault *sites* scheduling-dependent. Pinning each cell's fits to
-//! serial block order makes every cell's outcome a pure function of its
-//! seed; the campaign then parallelizes across cells instead (results are
-//! written into a pre-sized slot array by cell index), so the emitted table
-//! is byte-identical between `FTK_EXEC=serial` and the worker pool.
+//! Each cell fits twice — once under injection, once as the fault-free twin.
+//! A fit's output, its injected fault sites included, is a pure function of
+//! its data, config and seed, whatever executor runs its blocks; so every
+//! cell's outcome is a pure function of its seed. The campaign parallelizes
+//! across cells (results are written into a pre-sized slot array by cell
+//! index), and the emitted table is byte-identical between
+//! `FTK_EXEC=serial` and the worker pool.
 
 use super::classify::{classify, Classification, SdcPolicy};
-use super::grid::{splitmix64, CampaignCell, CampaignGrid};
+use super::grid::{CampaignCell, CampaignGrid};
 use abft::SchemeKind;
 use data::{make_blobs, BlobSpec};
-use fault::{CampaignStats, FaultTarget, InjectionRecord, InjectionSchedule, RateRealization};
-use gpu_sim::exec::{self, Executor};
+use fault::{
+    splitmix64, CampaignStats, FaultTarget, InjectionRecord, InjectionSchedule, RateRealization,
+};
+use gpu_sim::exec;
 use gpu_sim::{DeviceProfile, Precision, Scalar};
 use kmeans::{FtConfig, KMeansConfig, Session, Variant};
 
@@ -43,21 +44,19 @@ pub struct CellOutcome {
 ///
 /// Cells are distributed over the current executor (the global worker pool
 /// unless the caller scoped a different one with
-/// [`gpu_sim::exec::with_executor`]); each individual cell runs its fits
-/// under a private serial executor, so the outcome vector — and any table
-/// rendered from it — is identical whatever the outer policy.
+/// [`gpu_sim::exec::with_executor`]), and each cell's fits launch on that
+/// same executor. Fits do not depend on the block schedule, so the outcome
+/// vector — and any table rendered from it — is identical whatever the
+/// policy.
 pub fn run_campaign(grid: &CampaignGrid) -> Vec<CellOutcome> {
     let cells = grid.cells();
     let mut slots: Vec<Option<CellOutcome>> = Vec::new();
     slots.resize_with(cells.len(), || None);
     exec::with_current(|e| {
         e.par_chunks_mut(&mut slots, 1, |offset, piece| {
-            let serial = Executor::serial();
-            exec::with_executor(&serial, || {
-                for (i, slot) in piece.iter_mut().enumerate() {
-                    *slot = Some(run_cell(grid, &cells[offset + i]));
-                }
-            });
+            for (i, slot) in piece.iter_mut().enumerate() {
+                *slot = Some(run_cell(grid, &cells[offset + i]));
+            }
         });
     });
     slots

@@ -8,7 +8,7 @@
 //!   compared: GFLOPS values shift with calibration and functional
 //!   campaign notes depend on the execution policy.
 //! * **Exact match** (campaign): the quick campaign table is deterministic
-//!   by construction (per-cell serial execution, derived seeds), so the
+//!   by construction (schedule-independent fits, derived seeds), so the
 //!   freshly rendered CSV must equal the committed baseline byte for byte —
 //!   any diff is either a real behavior change (regenerate the baseline
 //!   deliberately) or a lost determinism guarantee (a bug).

@@ -1,7 +1,7 @@
 //! The campaign's headline reproducibility guarantee: the same grid renders
-//! a byte-identical table whatever the execution policy, because every cell
-//! pins its fits to serial block order and only the cell-level scheduling
-//! parallelizes.
+//! a byte-identical table whatever the execution policy, because every fit —
+//! its injected fault sites included — is independent of the block
+//! schedule, and cells are written back by index.
 
 use abft::SchemeKind;
 use bench_harness::campaign::{

@@ -7,8 +7,15 @@
 //!   the schedule (a rate in errors/second spread over the launch). Within
 //!   a stricken block a uniformly random MMA event, accumulator element and
 //!   bit position are corrupted; the SEU cap (`max_per_block`) is enforced.
+//!   Every decision is counter-based: a pure hash of (seed, launch ordinal,
+//!   [`MmaSite`], the event's ordinal among same-site events of its block).
+//!   A block runs on one thread, so those ordinals — and with them the
+//!   fault sites — do not depend on how blocks interleave across workers.
 //! * **planned** — deterministic injections at named (block, warp, k_step)
 //!   sites for reproducible unit tests.
+//!
+//! [`Injector::records`] returns records in (launch, site, ordinal) order,
+//! never in arrival order.
 
 use crate::model::SeuModel;
 use crate::schedule::{InjectionSchedule, RateRealization};
@@ -16,9 +23,23 @@ use crate::stats::InjectionRecord;
 use gpu_sim::mma::{FaultHook, MmaSite};
 use gpu_sim::Scalar;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+
+/// SplitMix64 step — the standard 64-bit finalizer. Injection decisions,
+/// campaign cell seeds and per-batch injection seeds all derive from it.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A site without its block-local repetition: `(block, warp, k_step,
+/// is_checksum)`.
+type SiteKey = ((usize, usize), usize, usize, bool);
+
+/// Sort key of a record: `(launch ordinal, site, event ordinal)`.
+type RecordKey = (u64, SiteKey, u64);
 
 /// A deterministic injection order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +63,7 @@ pub struct PlannedInjection {
 pub struct InjectorConfig {
     pub schedule: InjectionSchedule,
     pub model: SeuModel,
-    /// RNG seed (campaigns are reproducible).
+    /// Seed of the counter-based draws (campaigns are reproducible).
     pub seed: u64,
     /// Estimated kernel duration (converts a rate schedule into per-block
     /// probability).
@@ -54,11 +75,14 @@ pub struct InjectorConfig {
     pub events_per_block_hint: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct InjectorState {
-    rng: StdRng,
+    /// Ordinal of the current launch (bumped by [`Injector::begin_launch`]).
+    launch: u64,
+    /// Events seen so far this launch, per site.
+    site_events: HashMap<SiteKey, u64>,
     per_block_injections: HashMap<(usize, usize), u32>,
-    records: Vec<InjectionRecord>,
+    records: Vec<(RecordKey, InjectionRecord)>,
     planned: Vec<PlannedInjection>,
 }
 
@@ -84,12 +108,7 @@ impl Injector {
         Injector {
             cfg,
             p_event,
-            state: Mutex::new(InjectorState {
-                rng: StdRng::seed_from_u64(cfg.seed),
-                per_block_injections: HashMap::new(),
-                records: Vec::new(),
-                planned: Vec::new(),
-            }),
+            state: Mutex::new(InjectorState::default()),
         }
     }
 
@@ -110,17 +129,18 @@ impl Injector {
             cfg,
             p_event: 0.0,
             state: Mutex::new(InjectorState {
-                rng: StdRng::seed_from_u64(0),
-                per_block_injections: HashMap::new(),
-                records: Vec::new(),
                 planned: injections,
+                ..InjectorState::default()
             }),
         }
     }
 
-    /// Injections performed so far.
+    /// Injections performed so far, in (launch, site, event ordinal)
+    /// order — the same list whatever order the blocks ran in.
     pub fn records(&self) -> Vec<InjectionRecord> {
-        self.state.lock().records.clone()
+        let mut keyed = self.state.lock().records.clone();
+        keyed.sort_by_key(|(key, _)| *key);
+        keyed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// Number of injections performed.
@@ -128,10 +148,14 @@ impl Injector {
         self.state.lock().records.len() as u64
     }
 
-    /// Reset per-launch state (call between kernel launches so the SEU cap
-    /// applies per launch). Keeps the RNG stream and records.
+    /// Start the next launch: advance the launch ordinal and reset the
+    /// per-launch state (the SEU cap and the site event ordinals). Call it
+    /// between kernel launches. Keeps the records.
     pub fn begin_launch(&self) {
-        self.state.lock().per_block_injections.clear();
+        let mut st = self.state.lock();
+        st.launch += 1;
+        st.site_events.clear();
+        st.per_block_injections.clear();
     }
 
     /// Effective per-event probability (test introspection).
@@ -174,16 +198,20 @@ impl Injector {
                 let old = acc[idx];
                 let new = old.flip_bit(p.bit.min(T::BITS - 1));
                 acc[idx] = new;
-                st.records.push(InjectionRecord {
-                    block: site.block,
-                    warp: site.warp,
-                    k_step: site.k_step,
-                    hit_checksum: site.is_checksum,
-                    elem_idx: idx,
-                    bit: p.bit.min(T::BITS - 1),
-                    width: T::BITS,
-                    magnitude: (new.to_f64() - old.to_f64()).abs(),
-                });
+                let key = (st.launch, site_key(site), 0);
+                st.records.push((
+                    key,
+                    InjectionRecord {
+                        block: site.block,
+                        warp: site.warp,
+                        k_step: site.k_step,
+                        hit_checksum: site.is_checksum,
+                        elem_idx: idx,
+                        bit: p.bit.min(T::BITS - 1),
+                        width: T::BITS,
+                        magnitude: (new.to_f64() - old.to_f64()).abs(),
+                    },
+                ));
             }
             return;
         }
@@ -202,6 +230,12 @@ impl Injector {
         if !eligible {
             return;
         }
+        let key = site_key(site);
+        let ordinal = {
+            let n = st.site_events.entry(key).or_insert(0);
+            *n += 1;
+            *n - 1
+        };
         let hits = st
             .per_block_injections
             .get(&site.block)
@@ -210,26 +244,52 @@ impl Injector {
         if hits >= self.cfg.model.max_per_block {
             return;
         }
-        if st.rng.random::<f64>() >= self.p_event {
+        // Counter-based draws: strike?, element, bit.
+        let h = [
+            st.launch,
+            site.block.0 as u64,
+            site.block.1 as u64,
+            site.warp as u64,
+            site.k_step as u64,
+            site.is_checksum as u64,
+            ordinal,
+        ]
+        .iter()
+        .fold(splitmix64(self.cfg.seed), |h, &w| splitmix64(h ^ w));
+        if unit_f64(h) >= self.p_event {
             return;
         }
-        let idx = st.rng.random_range(0..acc.len());
-        let bit = st.rng.random_range(0..T::BITS);
+        let h_idx = splitmix64(h);
+        let idx = (h_idx % acc.len() as u64) as usize;
+        let bit = (splitmix64(h_idx) % T::BITS as u64) as u32;
         let old = acc[idx];
         let new = old.flip_bit(bit);
         acc[idx] = new;
         *st.per_block_injections.entry(site.block).or_insert(0) += 1;
-        st.records.push(InjectionRecord {
-            block: site.block,
-            warp: site.warp,
-            k_step: site.k_step,
-            hit_checksum: site.is_checksum,
-            elem_idx: idx,
-            bit,
-            width: T::BITS,
-            magnitude: (new.to_f64() - old.to_f64()).abs(),
-        });
+        let record_key = (st.launch, key, ordinal);
+        st.records.push((
+            record_key,
+            InjectionRecord {
+                block: site.block,
+                warp: site.warp,
+                k_step: site.k_step,
+                hit_checksum: site.is_checksum,
+                elem_idx: idx,
+                bit,
+                width: T::BITS,
+                magnitude: (new.to_f64() - old.to_f64()).abs(),
+            },
+        ));
     }
+}
+
+fn site_key(site: &MmaSite) -> SiteKey {
+    (site.block, site.warp, site.k_step, site.is_checksum)
+}
+
+/// The top 53 bits of `h` as a uniform draw in `[0, 1)`.
+fn unit_f64(h: u64) -> f64 {
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 impl<T: Scalar> FaultHook<T> for Injector {
@@ -414,6 +474,57 @@ mod tests {
             <Injector as FaultHook<f64>>::post_mma(&inj, &site((0, 0), 0, k, false), &mut acc, 2);
         }
         assert_eq!(inj.injected_count(), 0);
+    }
+
+    #[test]
+    fn records_do_not_depend_on_block_interleaving() {
+        let mk = || {
+            Injector::new(InjectorConfig {
+                schedule: InjectionSchedule::PerBlock { probability: 0.6 },
+                model: SeuModel {
+                    target: FaultTarget::Any,
+                    max_per_block: 2,
+                },
+                seed: 9,
+                kernel_time_hint_s: 1.0,
+                blocks_hint: 1,
+                events_per_block_hint: 8,
+            })
+        };
+        // Each block runs its own events in program order: 3 warps x 4
+        // k-steps, every site twice (like the update's per-sample FMAs).
+        let block_events = |b: usize| -> Vec<MmaSite> {
+            (0..24)
+                .map(|e| site((b, 1), e / 8, e % 4, e % 8 >= 4))
+                .collect()
+        };
+        let blocks = 6;
+        let run = |order: &[(usize, usize)]| {
+            let inj = mk();
+            for _launch in 0..2 {
+                inj.begin_launch();
+                for &(b, e) in order {
+                    let s = &block_events(b)[e];
+                    if e % 3 == 0 {
+                        let _ = <Injector as FaultHook<f32>>::post_fma(&inj, s, 2.5);
+                    } else {
+                        let mut acc = [1.5f64; 4];
+                        <Injector as FaultHook<f64>>::post_mma(&inj, s, &mut acc, 2);
+                    }
+                }
+            }
+            inj.records()
+        };
+        // One block after another, vs. round-robin in reverse block order.
+        let in_order: Vec<_> = (0..blocks)
+            .flat_map(|b| (0..24).map(move |e| (b, e)))
+            .collect();
+        let interleaved: Vec<_> = (0..24)
+            .flat_map(|e| (0..blocks).rev().map(move |b| (b, e)))
+            .collect();
+        let a = run(&in_order);
+        assert!(!a.is_empty(), "the schedule strikes some events");
+        assert_eq!(a, run(&interleaved));
     }
 
     #[test]

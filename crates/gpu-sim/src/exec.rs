@@ -22,15 +22,18 @@
 //! * **Caller participation.** The submitting thread executes chunks too,
 //!   so a launch always makes progress even when every pool worker is busy
 //!   with another caller's job (and nested launches cannot deadlock).
-//! * **Deterministic serial policy.** [`ExecPolicy::Serial`] runs blocks in
+//! * **Serial debug policy.** [`ExecPolicy::Serial`] runs blocks in
 //!   linear grid order on the calling thread — selectable per executor, via
 //!   the `FTK_EXEC=serial` environment override for the global pool, or
-//!   scoped over a region of code with [`with_executor`].
+//!   scoped over a region of code with [`with_executor`]. Kernels do not
+//!   need it for reproducibility: their results do not depend on the
+//!   block schedule, so serial runs are for debugging and for tests that
+//!   compare against the pool.
 //!
 //! Environment knobs (read once, when the global executor is first used):
 //!
-//! * `FTK_EXEC=serial` — run every launch serially (deterministic block
-//!   order, no worker threads at all).
+//! * `FTK_EXEC=serial` — run every launch serially (linear block order,
+//!   no worker threads at all); a debugging mode.
 //! * `FTK_WORKERS=N` — pool size; defaults to
 //!   [`std::thread::available_parallelism`].
 
@@ -440,68 +443,6 @@ impl Executor {
         });
         if let Some(sh) = &san {
             sanitizer::launch_end(sh);
-        }
-        Ok(())
-    }
-
-    /// Serial launch with a deterministic block order and `FnMut` kernels
-    /// (always runs on the calling thread, whatever the policy).
-    pub fn launch_serial<F>(
-        &self,
-        device: &DeviceProfile,
-        cfg: LaunchConfig,
-        counters: &Counters,
-        kernel: F,
-    ) -> Result<(), SimError>
-    where
-        F: FnMut(&BlockCtx),
-    {
-        self.launch_serial_labeled(device, cfg, counters, "kernel", kernel)
-    }
-
-    /// [`Executor::launch_serial`] with a kernel label for trace spans
-    /// (see [`Executor::launch_labeled`]).
-    pub fn launch_serial_labeled<F>(
-        &self,
-        device: &DeviceProfile,
-        cfg: LaunchConfig,
-        counters: &Counters,
-        label: &'static str,
-        mut kernel: F,
-    ) -> Result<(), SimError>
-    where
-        F: FnMut(&BlockCtx),
-    {
-        let traced = trace::active();
-        let before = if traced {
-            Some(counters.snapshot())
-        } else {
-            None
-        };
-        validate(device, &cfg)?;
-        counters.add_launch();
-        let san = sanitizer::launch_begin(self.sanitizer.as_ref(), label);
-        let sink = CounterSink::new(counters);
-        for idx in 0..cfg.grid.volume() {
-            let (bx, by, bz) = cfg.grid.unlinear(idx);
-            let ctx = BlockCtx {
-                bx,
-                by,
-                bz,
-                counters: &sink,
-                device,
-            };
-            match &san {
-                Some(sh) => sanitizer::with_block(sh, idx as u32, || kernel(&ctx)),
-                None => kernel(&ctx),
-            }
-            sink.flush();
-        }
-        if let Some(sh) = &san {
-            sanitizer::launch_end(sh);
-        }
-        if let Some(before) = before {
-            emit_launch_span(device, &cfg, counters, label, &before);
         }
         Ok(())
     }

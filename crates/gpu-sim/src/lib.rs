@@ -15,7 +15,7 @@
 //!   fault-injection interception point,
 //! * [`launch`] / [`exec`] — grid/threadblock execution on a persistent
 //!   worker pool with chunked block scheduling, per-worker counter shards
-//!   and a deterministic serial policy (`FTK_EXEC=serial`),
+//!   and a serial debug policy (`FTK_EXEC=serial`),
 //! * [`timing`] — an analytic performance model (occupancy, tile and wave
 //!   quantization, compute/memory overlap, ABFT overhead terms) calibrated
 //!   against the paper's published A100/T4 anchors.
@@ -58,10 +58,7 @@ pub use device::{DeviceProfile, Precision};
 pub use dim::Dim3;
 pub use error::SimError;
 pub use exec::{ExecPolicy, Executor};
-pub use launch::{
-    launch_grid, launch_grid_labeled, launch_grid_serial, launch_grid_serial_labeled, BlockCtx,
-    LaunchConfig,
-};
+pub use launch::{launch_grid, launch_grid_labeled, BlockCtx, LaunchConfig};
 pub use matrix::Matrix;
 pub use memory::{GlobalBuffer, GlobalPackedBuffer, PackedLane};
 pub use mma::{FaultHook, FragmentMma, MmaSite, NoFault};

@@ -105,7 +105,7 @@ pub struct FtConfig {
     pub dmr_update: bool,
     /// Error-injection schedule (for evaluation campaigns).
     pub injection: InjectionSchedule,
-    /// Injection RNG seed.
+    /// Seed of the injector's counter-based draws.
     pub injection_seed: u64,
     /// Which execution sites the injector may corrupt. [`FaultTarget::Any`]
     /// (the default) storms the whole pipeline — MMA accumulators, ABFT

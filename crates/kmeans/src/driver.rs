@@ -212,10 +212,9 @@ impl KMeans {
     /// the pair to split [`CampaignStats::unhandled`] into benign flips
     /// vs. silent data corruption.
     ///
-    /// The twin's result is independent of the execution policy; the
-    /// injected fit's fault *sites* are not (parallel block order
-    /// interleaves the RNG stream), so deterministic campaigns run this
-    /// under a serial executor scope ([`gpu_sim::exec::with_executor`]).
+    /// Both fits, fault sites included, are independent of the execution
+    /// policy: injection decisions are counter-based per site, not drawn
+    /// from a stream in block order.
     pub fn fit_with_twin<T: Scalar>(&self, samples: &Matrix<T>) -> Result<TwinFit<T>, SimError> {
         let injected = self.fit(samples)?;
         let mut clean_est = self.clone();

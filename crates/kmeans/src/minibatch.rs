@@ -14,15 +14,12 @@
 //! On the first batch (`w_c = 0`) this reduces to `c = mu_c`, i.e. one
 //! full Lloyd step over the batch.
 //!
-//! **Determinism.** The assignment kernel is bitwise execution-order
-//! independent (per-block candidates merge through an order-invariant
-//! argmin), so it rides the ambient executor. The update kernel's
-//! `atomicAdd` accumulation order is *not* order-invariant in floating
-//! point, so the update launch of every batch is pinned to a serial
-//! executor scope: batch means — and therefore the produced centroids —
-//! are byte-identical under `FTK_EXEC=serial` and the parallel pool. The
-//! update is over one mini-batch (small by construction), so serializing
-//! it costs little while the dominant assignment stays parallel.
+//! **Determinism.** Both device phases run on the ambient executor and
+//! neither depends on the block schedule: the assignment merges per-block
+//! candidates through an order-invariant argmin, and the update sums each
+//! cluster's members in ascending sample order ([`crate::update`]). Batch
+//! means — and therefore the produced centroids — are byte-identical
+//! under `FTK_EXEC=serial` and any pool.
 
 use crate::config::KMeansConfig;
 use crate::device_data::DeviceData;
@@ -35,21 +32,11 @@ use crate::session::Session;
 use crate::update::update_centroids;
 use crate::{assign::run_assignment, metrics};
 use abft::dmr::DmrStats;
-use fault::CampaignStats;
+use fault::{splitmix64, CampaignStats};
 use gpu_sim::counters::CounterSnapshot;
-use gpu_sim::exec::{self, Executor};
 use gpu_sim::mma::{FaultHook, NoFault};
 use gpu_sim::{Counters, Matrix, Scalar};
 use parking_lot::Mutex;
-
-/// splitmix64 finalizer — decorrelates per-batch injection streams from
-/// the base seed without an RNG dependency.
-fn mix(seed: u64, batch: u64) -> u64 {
-    let mut z = seed ^ batch.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One `partial_fit` step: bootstrap from the first batch when `model` is
 /// `None`, otherwise continue the stream.
@@ -124,7 +111,8 @@ pub(crate) fn partial_fit_step<T: Scalar>(
         // schedule's residency budget applies per batch (one assignment
         // launch each).
         let mut batch_cfg = cfg.clone();
-        batch_cfg.ft.injection_seed = mix(cfg.ft.injection_seed, batches as u64);
+        batch_cfg.ft.injection_seed =
+            splitmix64(cfg.ft.injection_seed ^ splitmix64(batches as u64));
         let injector = build_injector::<T>(device, &batch_cfg, mb, dim, 1);
         let hook: &dyn FaultHook<T> = match injector.as_ref() {
             Some(i) => i,
@@ -162,28 +150,23 @@ pub(crate) fn partial_fit_step<T: Scalar>(
             i.begin_launch();
             stats.lock().note_injection_launch(rate_saturated);
         }
-        // Batch means via the device update kernel, pinned to serial block
-        // order (see the module docs: float atomicAdd order must not depend
-        // on the pool schedule, or centroids would differ across policies).
-        let serial = Executor::serial();
+        // Batch means via the device update kernel.
         let update = phase::traced(
             trace::phases::BATCH_UPDATE,
             batches as u64,
             &counters,
             || {
-                exec::with_executor(&serial, || {
-                    update_centroids(
-                        device,
-                        &data.samples,
-                        mb,
-                        dim,
-                        &labels,
-                        &result.centroids,
-                        cfg.ft.dmr_update,
-                        hook,
-                        &counters,
-                    )
-                })
+                update_centroids(
+                    device,
+                    &data.samples,
+                    mb,
+                    dim,
+                    &labels,
+                    &result.centroids,
+                    cfg.ft.dmr_update,
+                    hook,
+                    &counters,
+                )
             },
         )?;
         if update.oob_labels > 0 {
@@ -332,6 +315,7 @@ mod tests {
     use super::*;
     use crate::config::FtConfig;
     use crate::metrics::adjusted_rand_index;
+    use gpu_sim::Executor;
 
     fn blobs(m: usize, dim: usize, k: usize, seed: u64) -> Matrix<f64> {
         Matrix::from_fn(m, dim, |r, c| {

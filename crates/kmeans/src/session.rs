@@ -108,9 +108,10 @@ impl Session {
 
     /// Pin every fit/predict derived from this session to `exec` instead of
     /// the ambient executor (the global pool, or whatever an enclosing
-    /// [`gpu_sim::exec::with_executor`] scope installed). Useful for
-    /// deterministic A/B runs: `Session::with_executor(Executor::serial())`
-    /// makes block order linear for everything the session runs.
+    /// [`gpu_sim::exec::with_executor`] scope installed). Results do not
+    /// depend on the executor; this chooses where the work runs, e.g. a
+    /// private pool size, or `Session::with_executor(Executor::serial())`
+    /// for linear block order while debugging.
     pub fn with_executor(mut self, exec: Executor) -> Self {
         self.exec = Some(Arc::new(exec));
         self
@@ -356,7 +357,7 @@ mod tests {
 
     #[test]
     fn session_executor_scopes_launches() {
-        // A serial-pinned session must run launches under serial policy.
+        // A session given a serial executor runs its launches under it.
         let session = Session::a100().with_executor(Executor::serial());
         let policy = session.run(|| exec::with_current(|e| e.policy()));
         assert_eq!(policy, gpu_sim::exec::ExecPolicy::Serial);

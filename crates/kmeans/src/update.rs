@@ -1,9 +1,23 @@
 //! Centroid-update phase (Fig. 2 step 3) with optional DMR protection.
 //!
-//! One fused kernel accumulates every sample into its assigned centroid via
-//! `atomicAdd` and bumps the member counter; a second kernel averages. The
-//! phase is memory-bound, so duplicating the arithmetic (DMR) and voting
-//! hides behind the loads — the paper measures <1% overhead (§I, §IV).
+//! The paper's fused update folds every sample into its centroid with
+//! `atomicAdd` (§III-A2), so the float summation order follows the block
+//! schedule. This one is an atomic-free segmented reduction instead — the
+//! map → combine → reduce split of MapReduce K-means, in the segmented
+//! form of Flash-KMeans — in three launches:
+//!
+//! 1. `update_sort` — a stable counting sort of sample ids by label gives
+//!    every cluster its member list (one `u32` per sample) and, through
+//!    the offsets, its count. Out-of-range labels are counted and dropped.
+//! 2. `update_accumulate` — one block per cluster sums its members' rows
+//!    in ascending sample order, starting from zero.
+//! 3. `update_divide` — one thread per centroid element averages.
+//!
+//! Every sum has that one fixed order whatever the executor, so the new
+//! centroids are bit-identical under `FTK_EXEC=serial` and any pool (and
+//! equal to [`crate::reference::update_reference`]). The phase is
+//! memory-bound, so duplicating the arithmetic (DMR) and voting hides
+//! behind the loads — the paper measures <1% overhead (§I, §IV).
 
 use abft::dmr::{protected, DmrStats};
 use gpu_sim::memory::GlobalIndexBuffer;
@@ -15,11 +29,11 @@ use gpu_sim::{
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Samples per threadblock in the accumulation kernel.
-const SAMPLES_PER_BLOCK: usize = 256;
-
 /// Centroid-matrix elements per threadblock in the averaging kernel.
 const ELEMS_PER_BLOCK: usize = 256;
+
+/// Bytes of one `u32` label, member id or offset.
+const INDEX_BYTES: u64 = 4;
 
 /// Result of the update phase.
 #[derive(Debug, Clone)]
@@ -55,70 +69,102 @@ pub fn update_centroids<T: Scalar>(
             labels.len()
         )));
     }
+    if u32::try_from(m).is_err() {
+        return Err(SimError::InvalidConfig(format!(
+            "{m} samples overflow the u32 member ids"
+        )));
+    }
     let k = old_centroids.rows();
-    let sums = GlobalBuffer::<T>::zeros(k * dim);
-    sums.set_sanitizer_label("update.sums");
-    let count_buf = GlobalIndexBuffer::zeros(k);
-    count_buf.set_sanitizer_label("update.counts");
-    let dmr_stats = Mutex::new(DmrStats::default());
+    let members = GlobalIndexBuffer::uninit(m);
+    members.set_sanitizer_label("update.members");
+    let offsets = GlobalIndexBuffer::uninit(k + 1);
+    offsets.set_sanitizer_label("update.offsets");
     let oob_labels = AtomicU64::new(0);
 
-    // Kernel 1: fused accumulation — "each thread … uses atomic add to add
-    // the values of this sample in every dimension to its assigned centroid
-    // and add one to the counter" (§III-A2).
-    let grid = Dim3::x(m.div_ceil(SAMPLES_PER_BLOCK).max(1));
+    // Kernel 1: stable counting sort. Cluster c's members are
+    // `members[offsets[c]..offsets[c + 1]]`, in ascending sample order.
+    let one_block = LaunchConfig {
+        grid: Dim3::x(1),
+        threads_per_block: 256,
+        smem_bytes: 0,
+    };
+    launch_grid_labeled(device, one_block, counters, "update_sort", |ctx| {
+        let mut next = ScratchBuf::<u32, 256>::filled(k, 0);
+        let mut oob = 0u64;
+        for &label in labels {
+            match next.get_mut(label as usize) {
+                Some(n) => *n += 1,
+                // A bit flip in a label (fail-continue fault model) must not
+                // index out of bounds: detect it and drop the sample.
+                None => oob += 1,
+            }
+        }
+        let mut start = 0u32;
+        offsets.store(0, 0);
+        for (c, slot) in next.iter_mut().enumerate() {
+            let n = *slot;
+            *slot = start;
+            start += n;
+            offsets.store(c + 1, start);
+        }
+        for (i, &label) in labels.iter().enumerate() {
+            if let Some(slot) = next.get_mut(label as usize) {
+                members.store(*slot as usize, i as u32);
+                *slot += 1;
+            }
+        }
+        oob_labels.store(oob, Ordering::Relaxed);
+        // Two passes over the labels; one member id per kept sample and
+        // k + 1 offsets out.
+        let kept = m as u64 - oob;
+        ctx.counters.add_loaded(2 * m as u64 * INDEX_BYTES);
+        ctx.counters.add_stored((kept + k as u64 + 1) * INDEX_BYTES);
+    })?;
+
+    // Kernel 2: segmented accumulation, one block per cluster.
+    let sums = GlobalBuffer::<T>::uninit(k * dim);
+    sums.set_sanitizer_label("update.sums");
+    let dmr_stats = Mutex::new(DmrStats::default());
     let cfg = LaunchConfig {
-        grid,
+        grid: Dim3::x(k),
         threads_per_block: 256,
         smem_bytes: 0,
     };
     launch_grid_labeled(device, cfg, counters, "update_accumulate", |ctx| {
-        let row0 = ctx.bx * SAMPLES_PER_BLOCK;
+        let c = ctx.bx;
+        let (lo, hi) = (offsets.load(c) as usize, offsets.load(c + 1) as usize);
+        ctx.counters
+            .add_loaded((2 + (hi - lo) as u64) * INDEX_BYTES);
         let mut local_dmr = DmrStats::default();
-        // Sample rows stream through block-local scratch as contiguous runs;
-        // the scattered atomicAdds stay per-element (they are data-dependent
-        // and uncoalescable by construction).
+        let mut acc = ScratchBuf::<T, 256>::filled(dim, T::ZERO);
         let mut xrow = ScratchBuf::<T, 256>::filled(dim, T::ZERO);
-        for (i, &label) in labels
-            .iter()
-            .enumerate()
-            .take((row0 + SAMPLES_PER_BLOCK).min(m))
-            .skip(row0)
-        {
-            let c = label as usize;
-            if c >= k {
-                // A bit flip in a label (fail-continue fault model) must
-                // not index the sums buffer out of bounds: detect it and
-                // drop the sample from this update.
-                oob_labels.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
+        for slot in lo..hi {
+            let i = members.load(slot) as usize;
             samples.load_run(i * dim, &mut xrow, ctx.counters);
-            for (d, &x) in xrow.iter().enumerate() {
+            for (d, (&x, sum)) in xrow.iter().zip(acc.iter_mut()).enumerate() {
                 let site = MmaSite {
-                    block: (ctx.bx, 0),
+                    block: (c, 0),
                     warp: 0,
                     k_step: d,
                     is_checksum: false,
                 };
-                let v = if dmr {
+                *sum += if dmr {
                     // Duplicated arithmetic: both replicas run the same FMA
                     // through the fault hook; disagreement is voted out.
                     protected(|_| hook.post_fma(&site, x), 3, &mut local_dmr)
                 } else {
                     hook.post_fma(&site, x)
                 };
-                ctx.counters.add_fma(if dmr { 2 } else { 1 });
-                sums.atomic_add(c * dim + d, v, ctx.counters);
             }
-            count_buf.atomic_inc(c, ctx.counters);
+            ctx.counters.add_fma((dim * if dmr { 2 } else { 1 }) as u64);
         }
+        sums.store_run(c * dim, &acc, ctx.counters);
         if dmr {
             dmr_stats.lock().merge(&local_dmr);
         }
     })?;
 
-    // Kernel 2: averaging — one thread per centroid-matrix *element*, so
+    // Kernel 3: averaging — one thread per centroid-matrix *element*, so
     // the division work spreads over the worker pool even at small k
     // (k x dim elements rather than k rows of serial dim-loops).
     let out = GlobalBuffer::<T>::zeros(k * dim);
@@ -135,7 +181,7 @@ pub fn update_centroids<T: Scalar>(
         let mut local_dmr = DmrStats::default();
         for e in e0..(e0 + ELEMS_PER_BLOCK).min(k * dim) {
             let (c, d) = (e / dim, e % dim);
-            let n = count_buf.load(c);
+            let n = offsets.load(c + 1) - offsets.load(c);
             let v = if n == 0 {
                 old.load_counted(e, ctx.counters)
             } else {
@@ -161,101 +207,12 @@ pub fn update_centroids<T: Scalar>(
     })?;
 
     let dmr = *dmr_stats.lock();
+    let bounds = offsets.to_vec();
     Ok(UpdateResult {
         centroids: out.to_matrix(k, dim),
-        counts: count_buf.to_vec(),
+        counts: bounds.windows(2).map(|w| w[1] - w[0]).collect(),
         dmr,
         oob_labels: oob_labels.into_inner(),
-    })
-}
-
-/// The *basic* update of §III-A1: one kernel launch **per centroid**, each
-/// scanning every sample and accumulating only the matching ones ("launching
-/// N kernels is a great waste of time, because, in kernel j, a large number
-/// of threads are idle", §III-A2). Kept as the baseline the fused update is
-/// measured against; functionally identical to [`update_centroids`].
-pub fn update_centroids_naive<T: Scalar>(
-    device: &DeviceProfile,
-    samples: &GlobalBuffer<T>,
-    m: usize,
-    dim: usize,
-    labels: &[u32],
-    old_centroids: &Matrix<T>,
-    counters: &Counters,
-) -> Result<UpdateResult<T>, SimError> {
-    if labels.len() != m {
-        return Err(SimError::ShapeMismatch(format!(
-            "{} labels for {m} samples",
-            labels.len()
-        )));
-    }
-    let k = old_centroids.rows();
-    let sums = GlobalBuffer::<T>::zeros(k * dim);
-    sums.set_sanitizer_label("update.sums");
-    let count_buf = GlobalIndexBuffer::zeros(k);
-    count_buf.set_sanitizer_label("update.counts");
-    // The per-cluster equality scan below never matches an out-of-range
-    // label, so corrupted samples drop out implicitly; count them up front
-    // so detection accounting matches the fused path.
-    let oob = labels.iter().filter(|&&l| l as usize >= k).count() as u64;
-
-    // One launch per centroid; every thread reads its sample even when the
-    // sample belongs elsewhere — the idle-thread waste the paper calls out.
-    for cluster in 0..k {
-        let grid = Dim3::x(m.div_ceil(SAMPLES_PER_BLOCK).max(1));
-        let cfg = LaunchConfig {
-            grid,
-            threads_per_block: 256,
-            smem_bytes: 0,
-        };
-        launch_grid_labeled(device, cfg, counters, "update_naive_scan", |ctx| {
-            let row0 = ctx.bx * SAMPLES_PER_BLOCK;
-            let end = (row0 + SAMPLES_PER_BLOCK).min(m);
-            for (i, &label) in labels.iter().enumerate().take(end).skip(row0) {
-                // the label read happens regardless of membership
-                let belongs = label as usize == cluster;
-                ctx.counters.add_loaded(4);
-                if belongs {
-                    for d in 0..dim {
-                        let x = samples.load_counted(i * dim + d, ctx.counters);
-                        sums.atomic_add(cluster * dim + d, x, ctx.counters);
-                    }
-                    count_buf.atomic_inc(cluster, ctx.counters);
-                }
-            }
-        })?;
-    }
-
-    // Final averaging kernel (identical to the fused path's kernel 2).
-    let out = GlobalBuffer::<T>::zeros(k * dim);
-    out.set_sanitizer_label("update.out");
-    let cfg2 = LaunchConfig {
-        grid: Dim3::x(k.div_ceil(SAMPLES_PER_BLOCK).max(1)),
-        threads_per_block: 256,
-        smem_bytes: 0,
-    };
-    let old = GlobalBuffer::from_matrix(old_centroids);
-    old.set_sanitizer_label("update.old");
-    launch_grid_labeled(device, cfg2, counters, "update_naive_divide", |ctx| {
-        let c0 = ctx.bx * SAMPLES_PER_BLOCK;
-        for c in c0..(c0 + SAMPLES_PER_BLOCK).min(k) {
-            let n = count_buf.load(c);
-            for d in 0..dim {
-                let v = if n == 0 {
-                    old.load_counted(c * dim + d, ctx.counters)
-                } else {
-                    sums.load_counted(c * dim + d, ctx.counters) / T::from_usize(n as usize)
-                };
-                out.store_counted(c * dim + d, v, ctx.counters);
-            }
-        }
-    })?;
-
-    Ok(UpdateResult {
-        centroids: out.to_matrix(k, dim),
-        counts: count_buf.to_vec(),
-        dmr: DmrStats::default(),
-        oob_labels: oob,
     })
 }
 
@@ -334,7 +291,36 @@ mod tests {
         let out = update_centroids(&dev, &buf, 100, 5, &labels, &old, false, &NoFault, &c).unwrap();
         let (want, want_counts) = update_reference(&samples, &labels, &old);
         assert_eq!(out.counts, want_counts);
-        assert!(out.centroids.max_abs_diff(&want) < 1e-9);
+        // Same summation order as the reference (zero, then ascending
+        // sample ids), so the match is exact.
+        assert_eq!(out.centroids, want);
+    }
+
+    #[test]
+    fn segmented_update_is_atomic_free_and_schedule_independent() {
+        let (m, dim, k) = (1000, 40, 3);
+        let samples = Matrix::<f32>::from_fn(m, dim, |r, c| ((r * 7 + c) as f32 * 0.37).sin());
+        let labels: Vec<u32> = (0..m).map(|i| ((i * i) % k) as u32).collect();
+        let old = Matrix::<f32>::zeros(k, dim);
+        let run = |exec: gpu_sim::Executor| {
+            gpu_sim::exec::with_executor(&exec, || {
+                let dev = DeviceProfile::a100();
+                let c = Counters::new();
+                let buf = GlobalBuffer::from_matrix(&samples);
+                let out = update_centroids(&dev, &buf, m, dim, &labels, &old, true, &NoFault, &c)
+                    .unwrap();
+                (out.centroids, out.counts, c.snapshot())
+            })
+        };
+        let (want, want_counts) = update_reference(&samples, &labels, &old);
+        let serial = run(gpu_sim::Executor::serial());
+        assert_eq!(serial.0, want);
+        assert_eq!(serial.1, want_counts);
+        assert_eq!(serial.2.atomic_ops, 0, "no atomics anywhere in the update");
+        assert_eq!(serial.2.kernel_launches, 3, "sort, accumulate, divide");
+        for workers in [1, 2, 4] {
+            assert_eq!(run(gpu_sim::Executor::with_workers(workers)), serial);
+        }
     }
 
     #[test]
@@ -410,35 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_update_matches_fused_but_wastes_launches() {
-        let dev = DeviceProfile::a100();
-        let (samples, labels, old) = setup(120, 6, 8);
-        let buf = GlobalBuffer::from_matrix(&samples);
-
-        let c_naive = Counters::new();
-        let naive = update_centroids_naive(&dev, &buf, 120, 6, &labels, &old, &c_naive).unwrap();
-        let c_fused = Counters::new();
-        let fused =
-            update_centroids(&dev, &buf, 120, 6, &labels, &old, false, &NoFault, &c_fused).unwrap();
-
-        // Functionally identical…
-        assert_eq!(naive.counts, fused.counts);
-        assert!(naive.centroids.max_abs_diff(&fused.centroids) < 1e-12);
-        // …but one launch per centroid (plus averaging) instead of two.
-        let sn = c_naive.snapshot();
-        let sf = c_fused.snapshot();
-        assert_eq!(sn.kernel_launches, 8 + 1);
-        assert_eq!(sf.kernel_launches, 2);
-        // and K redundant label scans.
-        assert!(
-            sn.bytes_loaded > sf.bytes_loaded,
-            "{} vs {}",
-            sn.bytes_loaded,
-            sf.bytes_loaded
-        );
-    }
-
-    #[test]
     fn out_of_range_label_is_detected_not_fatal() {
         // A bit flip in a label can push it far past k; the update must
         // survive (no OOB indexing, debug or release), report the fault,
@@ -459,10 +416,6 @@ mod tests {
         let (want, want_counts) = update_reference(&kept, &kept_labels, &old);
         assert_eq!(out.counts, want_counts);
         assert!(out.centroids.max_abs_diff(&want) < 1e-9);
-        // The naive baseline must account the corruption identically.
-        let naive = update_centroids_naive(&dev, &buf, 100, 5, &labels, &old, &c).unwrap();
-        assert_eq!(naive.oob_labels, 1);
-        assert_eq!(naive.counts, out.counts);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Acceptance gate for the streaming driver: `partial_fit` must produce
-//! **byte-identical** centroids whether its launches run under the
-//! deterministic serial policy (`FTK_EXEC=serial`) or the parallel worker
-//! pool. The assignment kernel is order-invariant by construction and the
-//! per-batch update launch is pinned to serial block order, so the only
+//! **byte-identical** centroids whether its launches run under the serial
+//! debug policy (`FTK_EXEC=serial`) or the parallel worker pool. The
+//! assignment kernel merges through an order-invariant argmin and the
+//! update sums every cluster in ascending sample order, so the only
 //! acceptable diff between the two runs is none at all.
 
 use gpu_sim::exec::Executor;

@@ -1,7 +1,7 @@
 //! Cross-layer serving tests: micro-batched responses must be bit-identical
 //! to the unbatched path under every predict policy, and concurrent
 //! fits/predicts over one shared executor must produce exactly the state
-//! and counter totals of serial-pinned twin runs (no cross-talk).
+//! and counter totals of twin runs on a serial executor (no cross-talk).
 
 use gpu_sim::exec::Executor;
 use gpu_sim::Matrix;
@@ -168,24 +168,25 @@ fn concurrent_fits_match_serial_pinned_twins_bitwise() {
             "per-request counter totals must not cross-talk: {cfg:?}"
         );
         assert_eq!(got.ft_stats.handled(), want.ft_stats.handled(), "{cfg:?}");
-        // Cross-executor determinism on top: a serial-pinned twin matches
-        // bit-for-bit for every variant whose reductions are chunk-shape
-        // independent. Hamerly's bound-update partials are reduced per
-        // chunk, so its serial twin differs in ULPs by design — skip it.
-        if !matches!(cfg.variant, Variant::Hamerly) {
-            let pinned = serial
-                .kmeans(cfg.clone())
-                .fit_model(data)
-                .expect("pinned twin");
-            assert_eq!(bits(&got.centroids), bits(&pinned.centroids), "{cfg:?}");
-            assert_eq!(got.counters, pinned.counters, "{cfg:?}");
-        }
+        // Cross-executor determinism on top: the twin on a serial executor
+        // matches bit-for-bit for every variant.
+        let serial_twin = serial
+            .kmeans(cfg.clone())
+            .fit_model(data)
+            .expect("serial twin");
+        assert_eq!(got.labels, serial_twin.labels, "{cfg:?}");
+        assert_eq!(
+            bits(&got.centroids),
+            bits(&serial_twin.centroids),
+            "{cfg:?}"
+        );
+        assert_eq!(got.counters, serial_twin.counters, "{cfg:?}");
     }
 }
 
 #[test]
 fn concurrent_predict_counter_totals_match_serial_twins() {
-    // Same shared-pool vs serial-pinned twin structure, predict side: the
+    // Same shared-pool vs serial twin structure, predict side: the
     // model's serving counters after N concurrent predicts must equal the
     // twin's after the same N predicts issued serially.
     let shared = Session::a100().with_executor(Executor::with_workers(4));
@@ -319,7 +320,7 @@ fn hot_swaps_race_predict_traffic_safely() {
 #[test]
 fn server_over_shared_pinned_executor_stays_consistent() {
     // The server, its fits, and direct estimator use all share ONE pool
-    // executor; a serial-pinned twin server must produce bit-identical
+    // executor; a twin server on a serial executor must produce bit-identical
     // responses and fit counter aggregates.
     let run = |exec: Executor| {
         let session = Session::a100().with_executor(exec);

@@ -14,7 +14,17 @@ use ft_kmeans::kmeans::config::Variant;
 use ft_kmeans::trace::profile::PhaseCounts;
 use ft_kmeans::{KMeansConfig, ModelRegistry, RecordingSink, Server, ServerConfig, Session};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Held by every test in this file. `traced_storm` installs a
+/// process-global sink, and any fit, predict or serve running alongside it
+/// in another test thread would emit into that sink too.
+static GLOBAL_SINK: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the others still run.
+    GLOBAL_SINK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn blobs(m: usize, dim: usize, k: usize) -> Matrix<f64> {
     Matrix::from_fn(m, dim, |r, c| {
@@ -44,6 +54,7 @@ fn traced_fit(exec: Executor) -> Arc<RecordingSink> {
 
 #[test]
 fn serial_fit_event_stream_is_byte_stable() {
+    let _guard = exclusive();
     let a = traced_fit(Executor::serial()).to_log_text();
     let b = traced_fit(Executor::serial()).to_log_text();
     assert!(!a.is_empty());
@@ -57,6 +68,7 @@ fn serial_fit_event_stream_is_byte_stable() {
 
 #[test]
 fn pool_fit_phase_counts_match_serial() {
+    let _guard = exclusive();
     let serial = traced_fit(Executor::serial());
     let pooled = traced_fit(Executor::with_workers(4));
     let sc: BTreeMap<&str, PhaseCounts> = serial.phase_profile().counts();
@@ -74,6 +86,7 @@ fn pool_fit_phase_counts_match_serial() {
 
 #[test]
 fn fit_phase_profile_matches_committed_variant_ordering() {
+    let _guard = exclusive();
     // The committed fit-throughput baselines (baselines/fit_throughput.csv)
     // order naive slowest because it materializes the m×k distance matrix
     // that the fused variant never writes. At toy scale the modeled *time*
@@ -149,6 +162,7 @@ fn traced_storm(exec: Executor) -> Arc<RecordingSink> {
 
 #[test]
 fn serve_storm_phase_counts_match_serial() {
+    let _guard = exclusive();
     let serial = traced_storm(Executor::serial());
     let pooled = traced_storm(Executor::with_workers(4));
     let sc = serial.phase_profile().counts();
@@ -167,6 +181,7 @@ fn serve_storm_phase_counts_match_serial() {
 
 #[test]
 fn serve_storm_renders_parseable_prometheus_text() {
+    let _guard = exclusive();
     let session = Session::a100();
     let data = blobs(120, 4, 3);
     let registry = ModelRegistry::new();
