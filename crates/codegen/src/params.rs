@@ -155,6 +155,7 @@ mod tests {
         assert_eq!(p.thread, Tile3::new(16, 8, 4));
         let p = KernelParams::cuml(Precision::Fp64);
         assert_eq!(p.threadblock, Tile3::new(64, 64, 16));
+        assert_eq!(p.warp, Tile3::new(32, 32, 16));
         assert_eq!(p.thread, Tile3::new(8, 8, 4));
     }
 
@@ -179,7 +180,8 @@ mod tests {
     #[test]
     fn table1_entries_are_structurally_valid() {
         for p in gpu_sim::Precision::all() {
-            for (name, params) in KernelParams::table1(p) {
+            let cuml = ("cuml", KernelParams::cuml(p));
+            for (name, params) in KernelParams::table1(p).into_iter().chain([cuml]) {
                 assert_eq!(params.threadblock.m % params.warp.m, 0, "{name}");
                 assert_eq!(params.threadblock.n % params.warp.n, 0, "{name}");
                 assert_eq!(params.warp.k, params.threadblock.k, "{name}");

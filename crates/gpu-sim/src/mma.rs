@@ -111,6 +111,15 @@ impl FragmentMma {
     /// contiguous fragment rows. Every output still accumulates its `k`
     /// terms in ascending order, so results are bitwise identical to the
     /// scalar triple loop — only instruction-level parallelism changes.
+    ///
+    /// Tile padding is charged but not multiplied. A cell whose k-sum is
+    /// provably `+0.0` skips its dot product and gets `c += 0.0`, which is
+    /// what the triple loop computes for it (`-0.0 + 0.0 = +0.0`, NaN and
+    /// ±inf pass through). On the TF32-rounded operands those are the
+    /// columns of the trailing all-±0 B rows when the whole A panel is
+    /// finite, and the trailing all-±0 A rows when the whole B panel is
+    /// finite. The counters and the fault hook still see the full
+    /// `wm x wn` warp tile.
     #[allow(clippy::too_many_arguments)]
     pub fn mma<T: Scalar, H: FaultHook<T> + ?Sized, C: EventSink + ?Sized>(
         &self,
@@ -134,33 +143,73 @@ impl FragmentMma {
         const AMAX: usize = 64;
         const BT_MAX: usize = 512;
         if kk <= AMAX && self.wn * kk <= BT_MAX {
+            let (wm, wn) = (self.wm, self.wn);
+            let nonzero = |row: &[T]| {
+                row.iter()
+                    .fold(false, |nz, &v| nz | (v.to_tf32() != T::ZERO))
+            };
+            let finite = |panel: &[T]| {
+                panel
+                    .iter()
+                    .fold(true, |f, &v| f & v.to_tf32().is_finite_s())
+            };
+            // Live extents: up to the last row with a nonzero (or NaN)
+            // rounded element; an unpadded panel stops at its last row.
+            let live_cols = (0..wn)
+                .rev()
+                .find(|&j| nonzero(&b[j * kk..(j + 1) * kk]))
+                .map_or(0, |j| j + 1);
+            let live_rows = (0..wm)
+                .rev()
+                .find(|&i| nonzero(&a[i * kk..(i + 1) * kk]))
+                .map_or(0, |i| i + 1);
+            // Dead cells sum to +0.0 only against a finite opposite panel
+            // (inf * 0 = NaN); one fold per panel, only when padded.
+            let cols = if live_cols < wn && finite(a) {
+                live_cols
+            } else {
+                wn
+            };
+            let rows = if cols == 0 {
+                0
+            } else if live_rows < wm && finite(b) {
+                live_rows
+            } else {
+                wm
+            };
             let mut bt = [T::ZERO; BT_MAX];
-            for j in 0..self.wn {
+            for j in 0..cols {
                 let brow = &b[j * kk..(j + 1) * kk];
                 for (k, &v) in brow.iter().enumerate() {
-                    bt[k * self.wn + j] = v.to_tf32();
+                    bt[k * wn + j] = v.to_tf32();
                 }
             }
             // One zero-init per slab, refilled (first kk slots) per row.
             let mut at = [T::ZERO; AMAX];
-            for i in 0..self.wm {
+            for i in 0..rows {
                 for (d, s) in at[..kk].iter_mut().zip(&a[i * kk..(i + 1) * kk]) {
                     *d = s.to_tf32();
                 }
-                let crow = &mut acc[i * self.wn..(i + 1) * self.wn];
+                let crow = &mut acc[i * wn..(i + 1) * wn];
                 let mut j = 0;
-                while j + 16 <= self.wn {
-                    dot_block::<T, 16>(crow, &at[..kk], &bt, self.wn, j);
+                while j + 16 <= cols {
+                    dot_block::<T, 16>(crow, &at[..kk], &bt, wn, j);
                     j += 16;
                 }
-                while j + 4 <= self.wn {
-                    dot_block::<T, 4>(crow, &at[..kk], &bt, self.wn, j);
+                while j + 4 <= cols {
+                    dot_block::<T, 4>(crow, &at[..kk], &bt, wn, j);
                     j += 4;
                 }
-                while j < self.wn {
-                    dot_block::<T, 1>(crow, &at[..kk], &bt, self.wn, j);
+                while j < cols {
+                    dot_block::<T, 1>(crow, &at[..kk], &bt, wn, j);
                     j += 1;
                 }
+                for cj in &mut crow[cols..] {
+                    *cj += T::ZERO;
+                }
+            }
+            for cj in &mut acc[rows * wn..] {
+                *cj += T::ZERO;
             }
         } else {
             // Fallback for oversized fragments: the scalar triple loop.
@@ -277,6 +326,20 @@ mod tests {
         assert!(c.snapshot().mma_ops > 0);
     }
 
+    /// The scalar triple loop every path of [`FragmentMma::mma`] must equal
+    /// bit for bit.
+    fn triple_loop<T: Scalar>(acc: &mut [T], a: &[T], b: &[T], wn: usize, kk: usize) {
+        for (i, crow) in acc.chunks_exact_mut(wn).enumerate() {
+            for (j, cj) in crow.iter_mut().enumerate() {
+                let mut sum = T::ZERO;
+                for k in 0..kk {
+                    sum += a[i * kk + k].to_tf32() * b[j * kk + k].to_tf32();
+                }
+                *cj += sum;
+            }
+        }
+    }
+
     #[test]
     fn register_blocked_path_matches_scalar_reference_bitwise() {
         // wn = 9 exercises both the 4-wide blocked loop and the scalar tail;
@@ -288,20 +351,118 @@ mod tests {
         let b: Vec<f32> = (0..wn * kk).map(|i| (i as f32 * 0.37).cos()).collect();
         let mut acc: Vec<f32> = (0..wm * wn).map(|i| i as f32 * 0.01).collect();
         let mut want = acc.clone();
-        for i in 0..wm {
-            for j in 0..wn {
-                let mut sum = 0.0f32;
-                for k in 0..kk {
-                    sum += a[i * kk + k].to_tf32() * b[j * kk + k].to_tf32();
-                }
-                want[i * wn + j] += sum;
-            }
-        }
+        triple_loop(&mut want, &a, &b, wn, kk);
         let c = Counters::new();
         exec.mma(&mut acc, &a, &b, kk, site(), &NoFault, &c);
         for (got, want) in acc.iter().zip(want.iter()) {
             assert_eq!(got.to_bits(), want.to_bits());
         }
+    }
+
+    /// Random panels with padding-shaped zeros (trailing and interior
+    /// all-±0 rows in both panels), special accumulators, and `specials`
+    /// sprinkled into the operands; every output must match the triple
+    /// loop by `to_bits`.
+    fn zero_skip_matches_triple_loop_bitwise<T: Scalar>(specials: &[T]) {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let signed_zero = |r: u64| if r & 1 == 0 { T::ZERO } else { -T::ZERO };
+        let acc_specials = [
+            -T::ZERO,
+            T::ZERO,
+            T::INFINITY,
+            -T::INFINITY,
+            T::from_f64(f64::NAN),
+        ];
+        let wm = 6;
+        for wn in [1, 4, 9, 16, 32, 64] {
+            for kk in [4, 8] {
+                let exec = FragmentMma::new::<T>(wm, wn);
+                for case in 0..64u64 {
+                    let mut val = || T::from_f64((next() % 2001) as f64 / 250.0 - 4.0);
+                    let mut a: Vec<T> = (0..wm * kk).map(|_| val()).collect();
+                    let mut b: Vec<T> = (0..wn * kk).map(|_| val()).collect();
+                    // Rows from `live` on are padding, and one interior
+                    // row is zero too, in both panels.
+                    let mut pad = |panel: &mut [T], rows: usize| {
+                        let live = (next() % (rows as u64 + 1)) as usize;
+                        let interior = (next() % rows as u64) as usize;
+                        for r in (live..rows).chain([interior]) {
+                            for v in &mut panel[r * kk..(r + 1) * kk] {
+                                *v = signed_zero(next());
+                            }
+                        }
+                        live
+                    };
+                    let live = (pad(&mut a, wm), pad(&mut b, wn));
+                    // case % 4: 0 clean, 1 specials in A, 2 in B, 3 in both.
+                    let mut poison = |panel: &mut [T]| {
+                        for _ in 0..1 + next() % 3 {
+                            let at = (next() % panel.len() as u64) as usize;
+                            panel[at] = specials[(next() % specials.len() as u64) as usize];
+                        }
+                    };
+                    if case % 2 == 1 {
+                        poison(&mut a);
+                    }
+                    if case % 4 >= 2 {
+                        poison(&mut b);
+                    }
+                    let mut acc: Vec<T> = (0..wm * wn)
+                        .map(|_| match next() % 8 {
+                            r @ 0..=4 => acc_specials[r as usize],
+                            _ => T::from_f64((next() % 100) as f64 - 50.0),
+                        })
+                        .collect();
+                    let mut want = acc.clone();
+                    triple_loop(&mut want, &a, &b, wn, kk);
+                    let c = Counters::new();
+                    exec.mma(&mut acc, &a, &b, kk, site(), &NoFault, &c);
+                    for (idx, (got, want)) in acc.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "wn={wn} kk={kk} case={case} live={live:?} cell={idx}: {got} vs {want}"
+                        );
+                    }
+                    assert_eq!(c.snapshot().mma_ops, exec.hw_mma_count(kk));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_skip_matches_triple_loop_bitwise_f32() {
+        zero_skip_matches_triple_loop_bitwise::<f32>(&[
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MAX,               // rounds to +inf under TF32
+            -f32::MAX,              // rounds to -inf
+            f32::from_bits(0x0FFF), // subnormal, rounds to +0.0
+            f32::from_bits(0x8000_0FFF),
+            f32::from_bits(0x7FFF_F000), // NaN payload, rounds to -0.0
+            f32::from_bits(0x7F80_0001), // NaN payload, rounds to +inf
+        ]);
+    }
+
+    #[test]
+    fn zero_skip_matches_triple_loop_bitwise_f64() {
+        zero_skip_matches_triple_loop_bitwise::<f64>(&[
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::from_bits(1), // smallest subnormal
+            -f64::MIN_POSITIVE,
+        ]);
     }
 
     #[test]

@@ -1,9 +1,7 @@
-//! Comparison baselines: cuML's fixed kernel parameters and the two
-//! hand-picked "selected by experience" parameter sets from the paper's
-//! evaluation (§V-A2).
+//! Comparison baselines: the two hand-picked "selected by experience"
+//! parameter sets from the paper's evaluation (§V-A2). cuML's fixed tile
+//! is `codegen::KernelParams::cuml`.
 
-pub mod cuml;
 pub mod params;
 
-pub use cuml::cuml_tile;
 pub use params::{parameter1, parameter2};

@@ -53,9 +53,14 @@ impl Variant {
 /// resident centroid table through the fused distance+argmin kernel
 /// ([`crate::variants::predict_fused`]); an error-bound check
 /// ([`abft::QuantMargin`]) routes any sample whose argmin margin is inside
-/// the quantization noise to the exact fp row, so every policy returns the
-/// same labels and distances as [`PredictPolicy::Exact`] — the quantized
-/// policies are a throughput knob, not an accuracy knob.
+/// the quantization noise to an exact fp scan, so both quantized policies
+/// return bit for bit the labels and distances of the naive fp argmin
+/// ([`crate::variants::naive`]) — a throughput knob, not an accuracy knob.
+///
+/// [`PredictPolicy::Exact`] is not that reference: it runs the model's
+/// fitted kernel variant. For the default tensor variant that means TF32
+/// MMA distances for `f32`, whose argmin can differ from the naive scan's
+/// on near-ties.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum PredictPolicy {
     /// Full-precision assignment through the model's fitted kernel variant.

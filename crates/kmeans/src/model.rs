@@ -103,9 +103,9 @@ impl<T: Scalar> Default for PredictScratch<T> {
 
 /// The memoized result of the most recent assignment, keyed by sample-
 /// buffer identity (data pointer + shape + content fingerprint — the
-/// pointer alone could be reused by a fresh allocation). Because every
-/// [`PredictPolicy`] returns bit-identical labels and distances, the memo
-/// is valid across policy switches.
+/// pointer alone could be reused by a fresh allocation). A policy switch
+/// clears it: [`PredictPolicy::Exact`] on a tensor-variant model and the
+/// quantized policies can label a near-tie differently.
 struct AssignMemo {
     key: (usize, usize, usize, u64),
     labels: Vec<u32>,
@@ -245,17 +245,18 @@ impl<T: Scalar> FittedModel<T> {
         self.policy
     }
 
-    /// Set the serving precision policy. Labels and distances are identical
-    /// under every policy (the quantized paths fall back to exact rows when
-    /// the argmin margin is inside the quantization error), so switching
-    /// never invalidates memoized results.
+    /// Set the serving precision policy and drop the memoized assignment.
+    /// The quantized policies return the naive fp argmin bit for bit;
+    /// [`PredictPolicy::Exact`] runs the fitted variant (see
+    /// [`PredictPolicy`]), so the two may differ on near-ties.
     pub fn set_predict_policy(&mut self, policy: PredictPolicy) {
         self.policy = policy;
+        *self.scratch.memo.get_mut() = None;
     }
 
     /// Builder-style [`FittedModel::set_predict_policy`].
     pub fn with_predict_policy(mut self, policy: PredictPolicy) -> Self {
-        self.policy = policy;
+        self.set_predict_policy(policy);
         self
     }
 
@@ -541,6 +542,18 @@ mod tests {
         let fresh = blobs(30, 4, 3);
         let before = model.predict_counters();
         model.predict(&fresh).unwrap();
+        assert!(model.predict_counters().since(&before).kernel_launches > 0);
+    }
+
+    #[test]
+    fn policy_switch_drops_the_memo() {
+        // Exact on a tensor model and the quantized policies may label a
+        // near-tie differently, so the memo must not answer across a switch.
+        let (data, mut model) = fitted(3);
+        model.predict(&data).unwrap();
+        model.set_predict_policy(PredictPolicy::Int8);
+        let before = model.predict_counters();
+        model.predict(&data).unwrap();
         assert!(model.predict_counters().since(&before).kernel_launches > 0);
     }
 

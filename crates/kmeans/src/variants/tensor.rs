@@ -565,6 +565,54 @@ mod tests {
     }
 
     #[test]
+    fn padded_default_tile_matches_unpadded_tile_bitwise_and_charges_padding() {
+        // k = 16 fills half of one of the default tile's four 32-wide
+        // column warps, and m = 200 leaves 56 padded rows in the last
+        // block. A tile whose columns are all live must give the same
+        // bits: both slab orders depend only on tb_k and the MMA K.
+        let (m, kc, dim) = (200, 16, 64);
+        let dev = DeviceProfile::a100();
+        let samples = Matrix::<f32>::from_fn(m, dim, |r, cc| {
+            ((r * 37 + cc * 11) % 101) as f32 / 13.0 - 3.7
+        });
+        let cents = Matrix::<f32>::from_fn(kc, dim, |r, cc| {
+            ((r * 53 + cc * 7) % 97) as f32 / 11.0 - 4.1
+        });
+        let padded = default_tile(Precision::Fp32);
+        let unpadded = TileConfig {
+            tb_m: 64,
+            tb_n: 16,
+            tb_k: 16,
+            wm: 64,
+            wn: 16,
+            k_stages: 3,
+        };
+        for scheme in [SchemeKind::None, SchemeKind::FtKMeans] {
+            let run = |tile: TileConfig| {
+                let c = Counters::new();
+                let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
+                let stats = Mutex::new(CampaignStats::default());
+                let before = c.snapshot();
+                let out = tensor_assign(&dev, tile, &data, scheme, &NoFault, &c, &stats).unwrap();
+                (out, c.snapshot().since(&before).mma_ops)
+            };
+            let (got, mma_ops) = run(padded);
+            let (want, _) = run(unpadded);
+            assert_eq!(got.labels, want.labels, "{scheme:?}");
+            let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.distances), bits(&want.distances), "{scheme:?}");
+            // Padding is still charged: every warp of every block issues
+            // its full warp tile for every 8-deep slab.
+            let (bm, bn) = (m.div_ceil(padded.tb_m), kc.div_ceil(padded.tb_n));
+            let n_ktiles = dim.div_ceil(padded.tb_k);
+            let warps = (padded.tb_m / padded.wm) * (padded.tb_n / padded.wn);
+            let per_slab = FragmentMma::new::<f32>(padded.wm, padded.wn).hw_mma_count(8);
+            let want_ops = (bm * bn * n_ktiles * (padded.tb_k / 8) * warps) as u64 * per_slab;
+            assert_eq!(mma_ops, want_ops, "{scheme:?}");
+        }
+    }
+
+    #[test]
     fn ft_scheme_clean_run_matches_and_counts_sweeps() {
         let (dev, c, samples, cents) = mk_data_f64(64, 20, 16);
         let data = DeviceData::upload(&dev, &samples, &cents, &c).unwrap();
