@@ -117,7 +117,6 @@ impl FragmentMma {
     /// what the triple loop computes for it (`-0.0 + 0.0 = +0.0`, NaN and
     /// ±inf pass through). On the TF32-rounded operands those are the
     /// columns of the trailing all-±0 B rows when the whole A panel is
-    /// finite, and the trailing all-±0 A rows when the whole B panel is
     /// finite. The counters and the fault hook still see the full
     /// `wm x wn` warp tile.
     #[allow(clippy::too_many_arguments)]
@@ -148,35 +147,21 @@ impl FragmentMma {
                 row.iter()
                     .fold(false, |nz, &v| nz | (v.to_tf32() != T::ZERO))
             };
-            let finite = |panel: &[T]| {
-                panel
-                    .iter()
-                    .fold(true, |f, &v| f & v.to_tf32().is_finite_s())
-            };
-            // Live extents: up to the last row with a nonzero (or NaN)
+            // Live columns: up to the last B row with a nonzero (or NaN)
             // rounded element; an unpadded panel stops at its last row.
             let live_cols = (0..wn)
                 .rev()
                 .find(|&j| nonzero(&b[j * kk..(j + 1) * kk]))
                 .map_or(0, |j| j + 1);
-            let live_rows = (0..wm)
-                .rev()
-                .find(|&i| nonzero(&a[i * kk..(i + 1) * kk]))
-                .map_or(0, |i| i + 1);
-            // Dead cells sum to +0.0 only against a finite opposite panel
-            // (inf * 0 = NaN); one fold per panel, only when padded.
-            let cols = if live_cols < wn && finite(a) {
+            // Dead columns sum to +0.0 only against a finite A panel
+            // (inf * 0 = NaN); one fold per slab, only when padded.
+            let finite_a = || a.iter().fold(true, |f, &v| f & v.to_tf32().is_finite_s());
+            let cols = if live_cols < wn && finite_a() {
                 live_cols
             } else {
                 wn
             };
-            let rows = if cols == 0 {
-                0
-            } else if live_rows < wm && finite(b) {
-                live_rows
-            } else {
-                wm
-            };
+            let rows = if cols == 0 { 0 } else { wm };
             let mut bt = [T::ZERO; BT_MAX];
             for j in 0..cols {
                 let brow = &b[j * kk..(j + 1) * kk];
