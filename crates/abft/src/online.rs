@@ -18,8 +18,7 @@ use crate::locate::{locate, Located};
 use crate::threshold::ThresholdPolicy;
 use gpu_sim::counters::EventSink;
 use gpu_sim::mma::{FaultHook, FragmentMma, MmaSite};
-use gpu_sim::warp::{frag_col_sum, frag_col_weighted_sum};
-use gpu_sim::Scalar;
+use gpu_sim::{Scalar, ScratchBuf};
 
 /// Whether the state machine corrects in place or only detects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,18 +104,13 @@ impl<T: Scalar> WarpOnlineState<T> {
         debug_assert_eq!(a_frag.len(), self.wm * kk);
         debug_assert_eq!(b_frag.len(), self.wn * kk);
         // Input sums (Fig. 6 lines 15-18): e1ᵀA, e2ᵀA, Be1, Be2 per column.
-        let mut a1 = vec![T::ZERO; kk];
-        let mut a2 = vec![T::ZERO; kk];
-        let mut b1 = vec![T::ZERO; kk];
-        let mut b2 = vec![T::ZERO; kk];
-        for k in 0..kk {
-            a1[k] = frag_col_sum(a_frag, self.wm, kk, k);
-            b1[k] = frag_col_sum(b_frag, self.wn, kk, k);
-            if self.mode == OnlineMode::DetectCorrect {
-                a2[k] = frag_col_weighted_sum(a_frag, self.wm, kk, k);
-                b2[k] = frag_col_weighted_sum(b_frag, self.wn, kk, k);
-            }
-        }
+        let weighted = self.mode == OnlineMode::DetectCorrect;
+        let mut a1 = ScratchBuf::<T, SLAB_K>::filled(kk, T::ZERO);
+        let mut a2 = ScratchBuf::<T, SLAB_K>::filled(kk, T::ZERO);
+        let mut b1 = ScratchBuf::<T, SLAB_K>::filled(kk, T::ZERO);
+        let mut b2 = ScratchBuf::<T, SLAB_K>::filled(kk, T::ZERO);
+        col_sums(a_frag, kk, weighted, &mut a1, &mut a2);
+        col_sums(b_frag, kk, weighted, &mut b1, &mut b2);
         counters.add_ft_cuda((2 * (self.wm + self.wn) * kk) as u64);
 
         let cs_site = MmaSite {
@@ -250,6 +244,33 @@ impl<T: Scalar> WarpOnlineState<T> {
     }
 }
 
+/// Slab depths held on the stack: the MMA K of both precisions (8 for
+/// TF32, 4 for FP64). Deeper slabs spill to the heap.
+const SLAB_K: usize = 8;
+
+/// Column sums `s1[k] = Σ_i frag[i,k]` and, when `weighted`, `s2[k] =
+/// Σ_i (i+1)·frag[i,k]` of a row-major `rows x kk` fragment. Walks the
+/// fragment row by row, so each column still adds its terms from zero in
+/// ascending `i`: the results equal [`gpu_sim::warp::frag_col_sum`] /
+/// [`gpu_sim::warp::frag_col_weighted_sum`] bit for bit, without their
+/// strided reads.
+fn col_sums<T: Scalar>(frag: &[T], kk: usize, weighted: bool, s1: &mut [T], s2: &mut [T]) {
+    if kk == 0 {
+        return;
+    }
+    for (i, row) in frag.chunks_exact(kk).enumerate() {
+        for (s, &x) in s1.iter_mut().zip(row) {
+            *s += x;
+        }
+        if weighted {
+            let w = T::from_usize(i + 1);
+            for (s, &x) in s2.iter_mut().zip(row) {
+                *s += w * x;
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +395,89 @@ mod tests {
         assert_eq!(st.reference().s12, 0.0, "weighted col checksum skipped");
         // s11 = Σ_k (Σ_i 1)(Σ_j 2) = KK * WM * 2*WN
         assert_eq!(st.reference().s11, (KK * WM * 2 * WN) as f64);
+    }
+
+    /// The reference triple after one slab, with the column sums taken by
+    /// the strided per-column warp reductions.
+    fn strided_reference<T: Scalar>(
+        a: &[T],
+        b: &[T],
+        wm: usize,
+        wn: usize,
+        kk: usize,
+        start: &ChecksumTriple<T>,
+    ) -> ChecksumTriple<T> {
+        use gpu_sim::warp::{frag_col_sum, frag_col_weighted_sum};
+        let a1: Vec<T> = (0..kk).map(|k| frag_col_sum(a, wm, kk, k)).collect();
+        let b1: Vec<T> = (0..kk).map(|k| frag_col_sum(b, wn, kk, k)).collect();
+        let a2: Vec<T> = (0..kk)
+            .map(|k| frag_col_weighted_sum(a, wm, kk, k))
+            .collect();
+        let b2: Vec<T> = (0..kk)
+            .map(|k| frag_col_weighted_sum(b, wn, kk, k))
+            .collect();
+        let c = Counters::new();
+        let dot = FragmentMma::new::<T>(1, 1);
+        let mut out = *start;
+        for (acc, x, y) in [
+            (&mut out.s11, &a1, &b1),
+            (&mut out.s21, &a2, &b1),
+            (&mut out.s12, &a1, &b2),
+        ] {
+            let mut tile = [*acc];
+            dot.mma(&mut tile, x, y, kk, site(), &NoFault, &c);
+            *acc = tile[0];
+        }
+        out
+    }
+
+    fn row_order_sums_match_strided<T: Scalar>(seed: u64) {
+        let mut state = seed;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let c = Counters::new();
+        let policy = ThresholdPolicy::for_precision(T::PRECISION);
+        for _ in 0..200 {
+            let wm = 1 + (next() % 63) as usize;
+            let wn = 1 + (next() % 63) as usize;
+            let kk = [4, 8][(next() % 2) as usize];
+            // Mixed magnitudes, so reordered sums would round differently.
+            let mut value = || {
+                let r = next();
+                let mant = (r >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
+                T::from_f64(mant * 2f64.powi((r % 24) as i32 - 8))
+            };
+            let a: Vec<T> = (0..wm * kk).map(|_| value()).collect();
+            let b: Vec<T> = (0..wn * kk).map(|_| value()).collect();
+            let mut st = WarpOnlineState::<T>::new(wm, wn, policy, OnlineMode::DetectCorrect);
+            st.reference = ChecksumTriple {
+                s11: value(),
+                s21: value(),
+                s12: value(),
+            };
+            let want = strided_reference(&a, &b, wm, wn, kk, st.reference());
+            st.accumulate(&a, &b, kk, site(), &NoFault, &c);
+            let got = st.reference();
+            for (g, w) in [
+                (got.s11, want.s11),
+                (got.s21, want.s21),
+                (got.s12, want.s12),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits(), "wm={wm} wn={wn} kk={kk}");
+            }
+        }
+    }
+
+    #[test]
+    fn row_order_column_sums_are_bitwise_the_strided_sums() {
+        row_order_sums_match_strided::<f32>(0x5eed_0032);
+        row_order_sums_match_strided::<f64>(0x5eed_0064);
     }
 
     #[test]

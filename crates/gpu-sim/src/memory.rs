@@ -1,6 +1,7 @@
 //! Simulated global (device) memory.
 //!
-//! [`GlobalBuffer`] stores every element as atomic 64-bit raw bits so that
+//! [`GlobalBuffer`] stores every element in an atomic cell of the element's
+//! own width ([`Scalar::Cell`]: 4 bytes per `f32`, 8 per `f64`) so that
 //! parallel threadblocks can load, store and `atomicAdd` safely — exactly the
 //! access modes CUDA kernels have. Loads and stores are relaxed atomics;
 //! `atomicAdd` is a compare-and-swap loop, which is literally how CUDA
@@ -37,18 +38,16 @@ use std::sync::Arc;
 ///
 /// Storage is shared: [`Clone`] is a device-pointer copy (both handles
 /// alias the same memory), not a deep copy — exactly how passing a device
-/// pointer to a second kernel behaves. `Arc<[AtomicU64]>` is a fat pointer
-/// straight to the element array, so element access costs the same as
-/// through an owning `Vec`.
+/// pointer to a second kernel behaves. Each element is one native-width
+/// [`Scalar::Cell`], and the `Arc` slice is a fat pointer straight to the
+/// cell array, so element access costs the same as through an owning `Vec`.
 ///
 /// When a [`crate::sanitizer`] checker is in scope at allocation time the
 /// buffer carries shadow state and every access is checked; otherwise
 /// `shadow` is `None` and the hooks cost one branch.
 pub struct GlobalBuffer<T: Scalar> {
-    bits: Arc<[AtomicU64]>,
-    len: usize,
+    cells: Arc<[T::Cell]>,
     shadow: Option<Arc<sanitizer::BufShadow>>,
-    _marker: PhantomData<T>,
 }
 
 impl<T: Scalar> Clone for GlobalBuffer<T> {
@@ -56,33 +55,29 @@ impl<T: Scalar> Clone for GlobalBuffer<T> {
     /// either handle are visible through both.
     fn clone(&self) -> Self {
         GlobalBuffer {
-            bits: Arc::clone(&self.bits),
-            len: self.len,
+            cells: Arc::clone(&self.cells),
             shadow: self.shadow.clone(),
-            _marker: PhantomData,
         }
     }
 }
 
 impl<T: Scalar> GlobalBuffer<T> {
-    fn alloc(len: usize, raw: u64, pre_init: bool) -> Self {
+    fn alloc(len: usize, v: T, pre_init: bool) -> Self {
         GlobalBuffer {
-            bits: (0..len).map(|_| AtomicU64::new(raw)).collect(),
-            len,
+            cells: (0..len).map(|_| v.new_cell()).collect(),
             shadow: sanitizer::alloc_shadow(len, pre_init),
-            _marker: PhantomData,
         }
     }
 
     /// Zero-initialized buffer of `len` elements (the `cudaMemset` path —
     /// every cell is defined, so initcheck treats it as initialized).
     pub fn zeros(len: usize) -> Self {
-        Self::alloc(len, T::ZERO.to_raw_u64(), true)
+        Self::alloc(len, T::ZERO, true)
     }
 
     /// Buffer filled with `v`.
     pub fn filled(len: usize, v: T) -> Self {
-        Self::alloc(len, v.to_raw_u64(), true)
+        Self::alloc(len, v, true)
     }
 
     /// Uninitialized allocation (the bare `cudaMalloc` path): the storage
@@ -91,20 +86,14 @@ impl<T: Scalar> GlobalBuffer<T> {
     /// scratch buffers a kernel is supposed to fully overwrite before
     /// reading back.
     pub fn uninit(len: usize) -> Self {
-        Self::alloc(len, T::ZERO.to_raw_u64(), false)
+        Self::alloc(len, T::ZERO, false)
     }
 
     /// Upload a host slice.
     pub fn from_slice(data: &[T]) -> Self {
-        let bits = data
-            .iter()
-            .map(|v| AtomicU64::new(v.to_raw_u64()))
-            .collect();
         GlobalBuffer {
-            bits,
-            len: data.len(),
+            cells: data.iter().map(|v| v.new_cell()).collect(),
             shadow: sanitizer::alloc_shadow(data.len(), true),
-            _marker: PhantomData,
         }
     }
 
@@ -123,12 +112,12 @@ impl<T: Scalar> GlobalBuffer<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.len
+        self.cells.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.cells.is_empty()
     }
 
     /// Plain load (no traffic charged — use [`GlobalBuffer::load_counted`]
@@ -140,7 +129,7 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return T::ZERO; // OOB reported and suppressed
             }
         }
-        T::from_raw_u64(self.bits[idx].load(Ordering::Relaxed))
+        T::load_cell(&self.cells[idx])
     }
 
     /// Load charging `counters` for the transaction.
@@ -158,7 +147,7 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return; // OOB reported and dropped
             }
         }
-        self.bits[idx].store(v.to_raw_u64(), Ordering::Relaxed);
+        T::store_cell(&self.cells[idx], v);
     }
 
     /// Store charging `counters`.
@@ -177,16 +166,7 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return T::ZERO; // OOB reported and dropped
             }
         }
-        let cell = &self.bits[idx];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let old = T::from_raw_u64(cur);
-            let new = (old + v).to_raw_u64();
-            match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
-                Ok(_) => return old,
-                Err(actual) => cur = actual,
-            }
-        }
+        T::cell_add(&self.cells[idx], v)
     }
 
     /// Bulk load of a contiguous run into `out`, charging `counters` once
@@ -210,12 +190,16 @@ impl<T: Scalar> GlobalBuffer<T> {
 
     /// Download a contiguous range into a vector.
     pub fn to_vec(&self) -> Vec<T> {
-        (0..self.len).map(|i| self.load(i)).collect()
+        (0..self.len()).map(|i| self.load(i)).collect()
     }
 
     /// Download as a row-major matrix of the given shape.
     pub fn to_matrix(&self, rows: usize, cols: usize) -> Matrix<T> {
-        assert_eq!(rows * cols, self.len, "matrix shape must cover the buffer");
+        assert_eq!(
+            rows * cols,
+            self.len(),
+            "matrix shape must cover the buffer"
+        );
         Matrix::from_vec(rows, cols, self.to_vec()).expect("shape checked above")
     }
 
@@ -230,9 +214,9 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return;
             }
         }
-        let cells = &self.bits[start..start + out.len()];
+        let cells = &self.cells[start..start + out.len()];
         for (slot, cell) in out.iter_mut().zip(cells) {
-            *slot = T::from_raw_u64(cell.load(Ordering::Relaxed));
+            *slot = T::load_cell(cell);
         }
     }
 
@@ -243,20 +227,19 @@ impl<T: Scalar> GlobalBuffer<T> {
                 return; // OOB reported and dropped
             }
         }
-        let cells = &self.bits[start..start + vals.len()];
+        let cells = &self.cells[start..start + vals.len()];
         for (&v, cell) in vals.iter().zip(cells) {
-            cell.store(v.to_raw_u64(), Ordering::Relaxed);
+            T::store_cell(cell, v);
         }
     }
 
     /// Overwrite every element with `v` (host-side reset between iterations).
     pub fn fill(&self, v: T) {
         if let Some(sh) = &self.shadow {
-            sanitizer::check_store(sh, 0, self.len);
+            sanitizer::check_store(sh, 0, self.len());
         }
-        let raw = v.to_raw_u64();
-        for cell in self.bits.iter() {
-            cell.store(raw, Ordering::Relaxed);
+        for cell in self.cells.iter() {
+            T::store_cell(cell, v);
         }
     }
 }
@@ -267,7 +250,7 @@ impl<T: Scalar> std::fmt::Debug for GlobalBuffer<T> {
             f,
             "GlobalBuffer<{}>[len={}]",
             std::any::type_name::<T>(),
-            self.len
+            self.len()
         )
     }
 }
@@ -313,8 +296,8 @@ impl PackedLane for u8 {
 }
 
 /// A device-global buffer of sub-word integer lanes (`u16` / `u8`) packed
-/// into the same atomic 64-bit words [`GlobalBuffer`] uses — the storage
-/// for quantized resident state (fp16 bit patterns, int8 codes).
+/// into atomic 64-bit words — the storage for quantized resident state
+/// (fp16 bit patterns, int8 codes).
 ///
 /// Counted traffic charges the *packed* byte width (`len ×
 /// [`PackedLane::BYTES`]`), which is exactly where a quantized table's
@@ -663,6 +646,15 @@ mod tests {
         assert_eq!(b32.to_vec(), vec![1.5, -2.25, 3.0]);
         let b64 = GlobalBuffer::<f64>::from_slice(&[1e-300, 2e300]);
         assert_eq!(b64.to_vec(), vec![1e-300, 2e300]);
+    }
+
+    #[test]
+    fn storage_is_native_width() {
+        // Host storage holds 4 bytes per f32 and 8 per f64.
+        let b32 = GlobalBuffer::<f32>::zeros(1000);
+        assert_eq!(std::mem::size_of_val(&*b32.cells), 4 * 1000);
+        let b64 = GlobalBuffer::<f64>::from_slice(&[0.0; 10]);
+        assert_eq!(std::mem::size_of_val(&*b64.cells), 8 * 10);
     }
 
     #[test]

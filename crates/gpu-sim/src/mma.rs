@@ -39,7 +39,8 @@ pub struct MmaSite {
 /// Interception point for transient-fault injection into compute results.
 ///
 /// Implementations must be cheap in the common (no fault) case; the hook is
-/// invoked once per warp-tile MMA slab.
+/// invoked once per warp-tile MMA slab, once per SIMT FMA result, and once
+/// per row of update sums.
 pub trait FaultHook<T: Scalar>: Sync {
     /// Inspect/corrupt the accumulator tile (`wm x wn`, row-major) after the
     /// MMA slab at `site` completed.
@@ -51,6 +52,23 @@ pub trait FaultHook<T: Scalar>: Sync {
         let _ = site;
         value
     }
+
+    /// Inspect/corrupt a row of SIMT FMA results, one per `d` along the row
+    /// (the centroid update's per-dimension sums). `site.k_step` is ignored;
+    /// element `d` is the result at `k_step = d`.
+    ///
+    /// Contract: an override must behave exactly like this default, which
+    /// calls [`FaultHook::post_fma`] on each element in ascending `d` — the
+    /// same calls, in the same order, with the same sites — so injection
+    /// decisions and records do not depend on which entry point a kernel
+    /// uses. Hooks that never corrupt override it as a no-op, which saves
+    /// one dynamic call per element.
+    fn post_fma_row(&self, site: &MmaSite, row: &mut [T]) {
+        for (d, v) in row.iter_mut().enumerate() {
+            let site = MmaSite { k_step: d, ..*site };
+            *v = self.post_fma(&site, *v);
+        }
+    }
 }
 
 /// The default hook: faults disabled.
@@ -60,6 +78,9 @@ pub struct NoFault;
 impl<T: Scalar> FaultHook<T> for NoFault {
     #[inline]
     fn post_mma(&self, _site: &MmaSite, _acc: &mut [T], _wn: usize) {}
+
+    #[inline]
+    fn post_fma_row(&self, _site: &MmaSite, _row: &mut [T]) {}
 }
 
 /// Functional warp-tile MMA executor.

@@ -2,12 +2,14 @@
 //!
 //! The fault-tolerance layers need raw bit access (single-event upsets flip
 //! one bit of an IEEE-754 value) and precision-aware tolerances, so the trait
-//! exposes both numeric and bit-level views.
+//! exposes both numeric and bit-level views. Simulated global memory stores
+//! each element in the trait's atomic [`Scalar::Cell`] of the same width.
 
 use crate::device::Precision;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// A floating-point element type usable in simulated kernels.
 ///
@@ -34,7 +36,10 @@ pub trait Scalar:
     + 'static
 {
     /// Raw-bits integer representation of the same width.
-    type Bits: Copy + Eq + Debug;
+    type Bits: Copy + Eq + Debug + Into<u64>;
+    /// Atomic storage cell of the same width (`AtomicU32` for `f32`,
+    /// `AtomicU64` for `f64`): one element of simulated global memory.
+    type Cell: Send + Sync;
 
     /// Number of bits in the representation (32 or 64).
     const BITS: u32;
@@ -74,15 +79,49 @@ pub trait Scalar:
     /// Round to the TF32 storage format (10-bit mantissa) as tensor cores do
     /// for FP32 inputs on Ampere. Identity for `f64`.
     fn to_tf32(self) -> Self;
-    /// Raw bits widened to `u64` (f32 bits live in the low half). Used by the
-    /// generic atomic global-memory storage.
-    fn to_raw_u64(self) -> u64;
-    /// Inverse of [`Scalar::to_raw_u64`].
-    fn from_raw_u64(bits: u64) -> Self;
+    /// A storage cell holding `self`'s bits.
+    fn new_cell(self) -> Self::Cell;
+    /// Relaxed load of a cell.
+    fn load_cell(cell: &Self::Cell) -> Self;
+    /// Relaxed store into a cell.
+    fn store_cell(cell: &Self::Cell, v: Self);
+    /// Atomic floating-point add via a compare-and-swap loop (CUDA
+    /// `atomicAdd` semantics). Returns the previous value.
+    fn cell_add(cell: &Self::Cell, v: Self) -> Self;
+}
+
+/// The cell accessors are the same for both widths up to the atomic type.
+macro_rules! cell_ops {
+    ($t:ty, $atomic:ty) => {
+        #[inline]
+        fn new_cell(self) -> $atomic {
+            <$atomic>::new(self.to_bits())
+        }
+        #[inline]
+        fn load_cell(cell: &$atomic) -> $t {
+            <$t>::from_bits(cell.load(Ordering::Relaxed))
+        }
+        #[inline]
+        fn store_cell(cell: &$atomic, v: $t) {
+            cell.store(v.to_bits(), Ordering::Relaxed);
+        }
+        fn cell_add(cell: &$atomic, v: $t) -> $t {
+            let mut cur = cell.load(Ordering::Relaxed);
+            loop {
+                let old = <$t>::from_bits(cur);
+                let new = (old + v).to_bits();
+                match cell.compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Relaxed) {
+                    Ok(_) => return old,
+                    Err(actual) => cur = actual,
+                }
+            }
+        }
+    };
 }
 
 impl Scalar for f32 {
     type Bits = u32;
+    type Cell = AtomicU32;
     const BITS: u32 = 32;
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
@@ -144,18 +183,12 @@ impl Scalar for f32 {
         let round = bits.wrapping_add(0x0000_1000); // half of 2^13
         f32::from_bits(round & 0xFFFF_E000)
     }
-    #[inline]
-    fn to_raw_u64(self) -> u64 {
-        self.to_bits() as u64
-    }
-    #[inline]
-    fn from_raw_u64(bits: u64) -> Self {
-        f32::from_bits(bits as u32)
-    }
+    cell_ops!(f32, AtomicU32);
 }
 
 impl Scalar for f64 {
     type Bits = u64;
+    type Cell = AtomicU64;
     const BITS: u32 = 64;
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
@@ -212,14 +245,7 @@ impl Scalar for f64 {
     fn to_tf32(self) -> Self {
         self
     }
-    #[inline]
-    fn to_raw_u64(self) -> u64 {
-        self.to_bits()
-    }
-    #[inline]
-    fn from_raw_u64(bits: u64) -> Self {
-        f64::from_bits(bits)
-    }
+    cell_ops!(f64, AtomicU64);
 }
 
 #[cfg(test)]

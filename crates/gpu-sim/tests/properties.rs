@@ -110,10 +110,99 @@ proptest! {
         }
     }
 
-    /// Raw-u64 round trip for both scalar widths.
+    /// Every `GlobalBuffer` access path keeps arbitrary bit patterns of
+    /// both widths, next to the fixed special values.
     #[test]
-    fn raw_u64_roundtrip(x in prop::num::f64::ANY, y in prop::num::f32::ANY) {
-        prop_assert_eq!(f64::from_raw_u64(x.to_raw_u64()).to_bits(), x.to_bits());
-        prop_assert_eq!(f32::from_raw_u64(y.to_raw_u64()).to_bits(), y.to_bits());
+    fn global_buffer_paths_keep_bits(
+        xs in prop::collection::vec(prop::num::f64::ANY, 1..24),
+        ys in prop::collection::vec(prop::num::f32::ANY, 1..24),
+    ) {
+        assert_paths_keep_bits(&[xs, special_f64()].concat());
+        assert_paths_keep_bits(&[ys, special_f32()].concat());
+    }
+}
+
+/// ±0, the smallest and largest subnormals, ±inf, the largest finite
+/// value and NaNs with signs and payloads (quiet and signalling).
+fn special_f32() -> Vec<f32> {
+    [
+        0x0000_0000u32,
+        0x8000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7f7f_ffff,
+        0x7fc0_0000,
+        0xffc0_1234,
+        0x7f80_0001,
+        0xffbf_ffff,
+    ]
+    .map(f32::from_bits)
+    .to_vec()
+}
+
+/// The `f64` counterparts of [`special_f32`].
+fn special_f64() -> Vec<f64> {
+    [
+        0x0000_0000_0000_0000u64,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7fef_ffff_ffff_ffff,
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_dead_beef,
+        0x7ff0_0000_0000_0001,
+        0xfff7_ffff_ffff_ffff,
+    ]
+    .map(f64::from_bits)
+    .to_vec()
+}
+
+/// Load/store, read_range/write_range, fill and atomic_add each return
+/// exactly the bits they were given.
+fn assert_paths_keep_bits<T: Scalar>(vals: &[T]) {
+    let bits = |v: &[T]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let n = vals.len();
+
+    let buf = GlobalBuffer::<T>::from_slice(vals);
+    assert_eq!(bits(&buf.to_vec()), bits(vals), "from_slice / load");
+
+    let buf = GlobalBuffer::<T>::zeros(n);
+    for (i, &v) in vals.iter().enumerate() {
+        buf.store(i, v);
+    }
+    assert_eq!(bits(&buf.to_vec()), bits(vals), "store / load");
+
+    let buf = GlobalBuffer::<T>::zeros(n + 2);
+    buf.write_range(1, vals);
+    let mut out = vec![T::ONE; n];
+    buf.read_range(1, &mut out);
+    assert_eq!(bits(&out), bits(vals), "write_range / read_range");
+
+    for &v in vals {
+        let buf = GlobalBuffer::<T>::zeros(3);
+        buf.fill(v);
+        assert_eq!(bits(&buf.to_vec()), bits(&[v; 3]), "fill");
+    }
+
+    // atomic_add returns the stored bits. Adding -0.0 to a `v` cell, or `v`
+    // to a -0.0 cell, stores `v` again; a NaN stays NaN (IEEE 754 leaves
+    // its payload to the hardware, and a signalling NaN comes back quiet).
+    let c = Counters::new();
+    let held = GlobalBuffer::<T>::from_slice(vals);
+    let zero = GlobalBuffer::<T>::filled(n, -T::ZERO);
+    for (i, &v) in vals.iter().enumerate() {
+        assert_eq!(held.atomic_add(i, -T::ZERO, &c).to_bits(), v.to_bits());
+        assert_eq!(zero.atomic_add(i, v, &c).to_bits(), (-T::ZERO).to_bits());
+        for sum in [held.load(i), zero.load(i)] {
+            if v.to_f64().is_nan() {
+                assert!(sum.to_f64().is_nan(), "atomic_add keeps NaN");
+            } else {
+                assert_eq!(sum.to_bits(), v.to_bits(), "atomic_add sum");
+            }
+        }
     }
 }

@@ -124,14 +124,14 @@ fn memo_key<T: Scalar>(samples: &Matrix<T>) -> (usize, usize, usize, u64) {
     let s = samples.as_slice();
     let n = s.len();
     let hash = if n <= MEMO_FINGERPRINT_ELEMS {
-        fnv1a64(s.iter().map(|v| v.to_raw_u64()))
+        fnv1a64(s.iter().map(|v| v.to_bits().into()))
     } else {
         let step = n.div_ceil(MEMO_FINGERPRINT_ELEMS);
         fnv1a64(
             s.iter()
                 .step_by(step)
                 .chain(std::iter::once(&s[n - 1]))
-                .map(|v| v.to_raw_u64()),
+                .map(|v| v.to_bits().into()),
         )
     };
     (s.as_ptr() as usize, samples.rows(), samples.cols(), hash)

@@ -278,8 +278,8 @@ impl<T: Scalar> QuantizedCentroids<T> {
         let stream = [self.kind as u64, self.k as u64, self.dim as u64]
             .into_iter()
             .chain(words)
-            .chain(self.scales.to_vec().into_iter().map(|v| v.to_raw_u64()))
-            .chain(self.norms.to_vec().into_iter().map(|v| v.to_raw_u64()))
+            .chain(self.scales.to_vec().into_iter().map(|v| v.to_bits().into()))
+            .chain(self.norms.to_vec().into_iter().map(|v| v.to_bits().into()))
             .chain(self.err_norms.iter().map(|e| e.to_bits()));
         fnv1a64(stream)
     }

@@ -138,23 +138,31 @@ pub fn update_centroids<T: Scalar>(
         let mut local_dmr = DmrStats::default();
         let mut acc = ScratchBuf::<T, 256>::filled(dim, T::ZERO);
         let mut xrow = ScratchBuf::<T, 256>::filled(dim, T::ZERO);
+        let row_site = MmaSite {
+            block: (c, 0),
+            warp: 0,
+            k_step: 0,
+            is_checksum: false,
+        };
         for slot in lo..hi {
             let i = members.load(slot) as usize;
             samples.load_run(i * dim, &mut xrow, ctx.counters);
-            for (d, (&x, sum)) in xrow.iter().zip(acc.iter_mut()).enumerate() {
-                let site = MmaSite {
-                    block: (c, 0),
-                    warp: 0,
-                    k_step: d,
-                    is_checksum: false,
-                };
-                *sum += if dmr {
+            if dmr {
+                for (d, (&x, sum)) in xrow.iter().zip(acc.iter_mut()).enumerate() {
+                    let site = MmaSite {
+                        k_step: d,
+                        ..row_site
+                    };
                     // Duplicated arithmetic: both replicas run the same FMA
                     // through the fault hook; disagreement is voted out.
-                    protected(|_| hook.post_fma(&site, x), 3, &mut local_dmr)
-                } else {
-                    hook.post_fma(&site, x)
-                };
+                    *sum += protected(|_| hook.post_fma(&site, x), 3, &mut local_dmr);
+                }
+            } else {
+                // One hook call per row; element d is the FMA at k_step d.
+                hook.post_fma_row(&row_site, &mut xrow);
+                for (&x, sum) in xrow.iter().zip(acc.iter_mut()) {
+                    *sum += x;
+                }
             }
             ctx.counters.add_fma((dim * if dmr { 2 } else { 1 }) as u64);
         }
@@ -272,7 +280,9 @@ pub fn centroid_drift<T: Scalar>(
 mod tests {
     use super::*;
     use crate::reference::update_reference;
-    use fault::{Injector, PlannedInjection};
+    use fault::{
+        FaultTarget, InjectionSchedule, Injector, InjectorConfig, PlannedInjection, SeuModel,
+    };
     use gpu_sim::mma::NoFault;
 
     fn setup(m: usize, dim: usize, k: usize) -> (Matrix<f64>, Vec<u32>, Matrix<f64>) {
@@ -371,6 +381,67 @@ mod tests {
             out.centroids.max_abs_diff(&want) < 1e-9,
             "result unaffected"
         );
+    }
+
+    /// Reaches the injector through `post_fma` only: a row is handed over
+    /// one element at a time, `k_step = d` in ascending `d`, the calls the
+    /// update made before it had a row hook.
+    struct PerElement<'a>(&'a Injector);
+
+    impl FaultHook<f32> for PerElement<'_> {
+        fn post_mma(&self, site: &MmaSite, acc: &mut [f32], wn: usize) {
+            self.0.post_mma(site, acc, wn);
+        }
+        fn post_fma(&self, site: &MmaSite, value: f32) -> f32 {
+            self.0.post_fma(site, value)
+        }
+        fn post_fma_row(&self, site: &MmaSite, row: &mut [f32]) {
+            for (d, v) in row.iter_mut().enumerate() {
+                *v = self.0.post_fma(&MmaSite { k_step: d, ..*site }, *v);
+            }
+        }
+    }
+
+    #[test]
+    fn row_hook_injects_exactly_like_the_per_element_hook() {
+        let (m, dim, k) = (400, 6, 5);
+        let samples = Matrix::<f32>::from_fn(m, dim, |r, c| ((r * 5 + c) as f32 * 0.31).cos());
+        let labels: Vec<u32> = (0..m).map(|i| ((i * 7) % k) as u32).collect();
+        let old = Matrix::<f32>::zeros(k, dim);
+        let injector = || {
+            Injector::new(InjectorConfig {
+                schedule: InjectionSchedule::Rate {
+                    errors_per_second: 3.0,
+                },
+                model: SeuModel {
+                    target: FaultTarget::SimtFma,
+                    max_per_block: 2,
+                },
+                seed: 11,
+                kernel_time_hint_s: 1.0,
+                blocks_hint: k,
+                // Many candidate strikes per block, so the SEU cap keeps
+                // only the first ones in call order.
+                events_per_block_hint: dim as u64,
+            })
+        };
+        let run = |hook: &dyn FaultHook<f32>| {
+            let dev = DeviceProfile::a100();
+            let c = Counters::new();
+            let buf = GlobalBuffer::from_matrix(&samples);
+            let out = update_centroids(&dev, &buf, m, dim, &labels, &old, false, hook, &c).unwrap();
+            (out.centroids, out.counts, c.snapshot())
+        };
+        let (row, per_element) = (injector(), injector());
+        let got = run(&row);
+        let want = run(&PerElement(&per_element));
+        assert!(row.injected_count() >= 2, "the schedule must strike");
+        assert_eq!(row.records(), per_element.records());
+        assert_eq!(got.1, want.1);
+        assert_eq!(got.2, want.2);
+        let bits = |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.0), bits(&want.0));
+        assert_ne!(got.0, update_reference(&samples, &labels, &old).0);
     }
 
     #[test]
